@@ -156,6 +156,18 @@ type Cache struct {
 	inQ mem.Ring[queued]
 	wbQ mem.Ring[mem.Request]
 
+	// setShift is log2(Sets): the tag is the line ID above the set bits.
+	setShift uint
+
+	// blocked memoizes that the input-queue head is stalled on a full MSHR
+	// file (mshr-full-block). Until the next Fill — the only event that
+	// frees an MSHR or installs a line — a retry can only repeat the same
+	// refusal, so the head is not looked up again: each cycle the cache
+	// would have retried just counts an MSHRFullEvent. A pure memo, not
+	// serialized: a cleared flag re-runs the real lookup, which sets it
+	// again.
+	blocked bool
+
 	// MSHR file, structure-of-arrays scheduled by mshrValid: allocation is
 	// FirstClear (lowest free slot), the merge scan walks set bits ascending
 	// — both exactly the orders of the former per-entry loops.
@@ -199,6 +211,7 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 		cfg:       cfg,
 		policy:    NewPolicy(cfg.Policy, cfg.Sets, cfg.Ways),
 		lower:     lower,
+		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		mshrValid: table.NewBits(cfg.MSHRs),
 		mshrPF:    table.NewBits(cfg.MSHRs),
 		mshrLine:  make([]mem.Addr, cfg.MSHRs),
@@ -364,16 +377,8 @@ func (c *Cache) DebugInQ() string {
 func (c *Cache) index(addr mem.Addr) (set int, tag uint64) {
 	lineID := addr.LineID()
 	set = int(lineID & uint64(c.cfg.Sets-1))
-	tag = lineID >> uint(log2(c.cfg.Sets))
+	tag = lineID >> c.setShift
 	return
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
 }
 
 // Tick advances one cycle: drain writebacks, process ready requests, deliver
@@ -393,11 +398,13 @@ func (c *Cache) Tick(cycle uint64) {
 // queues are all empty is quiescent (mem.NoEvent) even with MSHRs in
 // flight — fills arrive through Fill, which repopulates the response queue
 // and thereby pulls the horizon back to "now" before the next Tick gate.
+// An input queue whose head is blocked on a full MSHR file is quiescent
+// the same way: only a Fill can unblock it.
 func (c *Cache) NextEvent(now uint64) uint64 {
 	if c.wbQ.Len() > 0 || len(c.respQ) > 0 {
 		return now
 	}
-	if c.inQ.Len() > 0 {
+	if c.inQ.Len() > 0 && !c.blockedHead() {
 		if r := c.inQ.Front().ready; r > now {
 			return r
 		}
@@ -406,16 +413,37 @@ func (c *Cache) NextEvent(now uint64) uint64 {
 	return mem.NoEvent
 }
 
-// SkipTick replaces Tick for a cycle the simulation loop proved idle via
-// NextEvent. Only the internal clock advances: Issue stamps lookup maturity
-// relative to it, so it must track the global cycle even across skips.
+// SkipTick replaces Tick for every cycle after the last Tick up to and
+// including cycle, which the simulation loop proved idle via NextEvent. The
+// internal clock advances (Issue stamps lookup maturity relative to it, so
+// it must track the global cycle even across skips), and a head blocked on
+// a full MSHR file is charged the one MSHRFullEvent per cycle that each
+// skipped Tick would have counted.
 func (c *Cache) SkipTick(cycle uint64) {
 	if invariant.Enabled {
 		invariant.Check(c.NextEvent(cycle) > cycle,
 			"cache %s: tick skipped at cycle %d with work pending (inQ=%d wbQ=%d resp=%d)",
 			c.cfg.Name, cycle, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
 	}
+	if c.blockedHead() {
+		c.stats.MSHRFullEvents += cycle - c.cycle
+	}
 	c.cycle = cycle
+}
+
+// blockedHead reports the blocked memo. Under clipdebug it re-derives the
+// memo from the state it summarizes: the MSHR file is full and the head's
+// line is neither present nor tracked by an MSHR.
+func (c *Cache) blockedHead() bool {
+	if invariant.Enabled && c.blocked {
+		req := &c.inQ.Front().req
+		set, tag := c.index(req.Addr)
+		invariant.Check(c.mshrValid.FirstClear() < 0 && c.findWay(set, tag) < 0 &&
+			c.mshrFind(req.Addr.Line()) < 0,
+			"cache %s: head %x marked blocked but could proceed (MSHRs in use %d/%d)",
+			c.cfg.Name, uint64(req.Addr), c.MSHRInUse(), c.cfg.MSHRs)
+	}
+	return c.blocked
 }
 
 func (c *Cache) drainWritebacks() {
@@ -430,6 +458,10 @@ func (c *Cache) drainWritebacks() {
 }
 
 func (c *Cache) process() {
+	if c.blockedHead() {
+		c.stats.MSHRFullEvents++ // the retry this cycle would refuse again
+		return
+	}
 	ports := c.cfg.Ports
 	for ports > 0 && c.inQ.Len() > 0 {
 		q := c.inQ.Front()
@@ -548,6 +580,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			return true // drop prefetch, don't block
 		}
 		c.trace("mshr-full-block", req)
+		c.blocked = true
 		return false
 	}
 	if c.lower == nil {
@@ -601,6 +634,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 //
 //clipvet:hotpath
 func (c *Cache) Fill(resp *mem.Response) {
+	c.blocked = false // a freed MSHR or an installed line may unblock the head
 	lineAddr := resp.Req.Addr.Line()
 	c.trace("fill", &resp.Req)
 	if i := c.mshrFind(lineAddr); i >= 0 {
@@ -699,13 +733,13 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 		if c.pfBits[set]&wbit != 0 {
 			c.stats.PFPolluting++
 			if c.onPFEvict != nil {
-				vLine := (c.tags[base+way]>>1)<<uint(log2(c.cfg.Sets)) | uint64(set)
+				vLine := (c.tags[base+way]>>1)<<c.setShift | uint64(set)
 				c.onPFEvict(c.trigger[base+way], mem.Addr(vLine<<mem.LineShift))
 			}
 		}
 		if c.dirtyBits[set]&wbit != 0 {
 			// Reconstruct victim address from set+tag.
-			vLine := (c.tags[base+way]>>1)<<uint(log2(c.cfg.Sets)) | uint64(set)
+			vLine := (c.tags[base+way]>>1)<<c.setShift | uint64(set)
 			c.wbQ.Push(mem.Request{
 				Addr: mem.Addr(vLine << mem.LineShift),
 				Type: mem.Writeback, Core: req.Core, IssueCycle: c.cycle,

@@ -53,6 +53,7 @@ func (c *Cache) Save(w *snapshot.Writer) {
 
 // Load restores a snapshot taken from an identically-configured cache.
 func (c *Cache) Load(r *snapshot.Reader) {
+	c.blocked = false // a memo, not state: the next real lookup re-derives it
 	r.U64s(c.slab)
 	c.policy.load(r)
 

@@ -105,7 +105,7 @@ func TestFindWayInstallMatchesNaive(t *testing.T) {
 		for step := 0; step < 5000; step++ {
 			set := rng.Intn(sets)
 			tag := rng.Uint64() % tagSpace
-			addr := mem.Addr((tag<<uint(log2(sets)) | uint64(set)) << mem.LineShift)
+			addr := mem.Addr((tag<<3 | uint64(set)) << mem.LineShift) // 3 = log2(sets)
 			switch {
 			case rng.Bool(0.55): // fill (install)
 				dirty := rng.Bool(0.3)

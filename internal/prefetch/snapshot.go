@@ -23,31 +23,38 @@ const (
 	pfKindBerti
 )
 
+// prefetcherKind returns the kind byte of a prefetcher built by New; false
+// for any other implementation.
+func prefetcherKind(p Prefetcher) (uint8, bool) {
+	switch p.(type) {
+	case None:
+		return pfKindNone, true
+	case *Stride:
+		return pfKindStride, true
+	case *Stream:
+		return pfKindStream, true
+	case *Bingo:
+		return pfKindBingo, true
+	case *SPPPPF:
+		return pfKindSPPPPF, true
+	case *IPCP:
+		return pfKindIPCP, true
+	case *Berti:
+		return pfKindBerti, true
+	}
+	return 0, false
+}
+
 // SavePrefetcher serializes any prefetcher built by New.
 func SavePrefetcher(w *snapshot.Writer, p Prefetcher) {
-	switch pf := p.(type) {
-	case None:
-		w.U8(pfKindNone)
-	case *Stride:
-		w.U8(pfKindStride)
-		pf.Save(w)
-	case *Stream:
-		w.U8(pfKindStream)
-		pf.Save(w)
-	case *Bingo:
-		w.U8(pfKindBingo)
-		pf.Save(w)
-	case *SPPPPF:
-		w.U8(pfKindSPPPPF)
-		pf.Save(w)
-	case *IPCP:
-		w.U8(pfKindIPCP)
-		pf.Save(w)
-	case *Berti:
-		w.U8(pfKindBerti)
-		pf.Save(w)
-	default:
+	kind, ok := prefetcherKind(p)
+	if !ok {
 		w.Fail(fmt.Errorf("prefetch: cannot snapshot prefetcher type %T", p))
+		return
+	}
+	w.U8(kind)
+	if pf, ok := p.(interface{ Save(*snapshot.Writer) }); ok { // every kind but None
+		pf.Save(w)
 	}
 }
 
@@ -58,43 +65,18 @@ func LoadPrefetcher(r *snapshot.Reader, p Prefetcher) {
 	if r.Err() != nil {
 		return
 	}
-	fail := func(want uint8) bool {
-		if kind != want {
-			r.Fail(fmt.Errorf("prefetch: snapshot holds prefetcher kind %d, receiver is %s: %w",
-				kind, p.Name(), snapshot.ErrCorrupt))
-			return true
-		}
-		return false
-	}
-	switch pf := p.(type) {
-	case None:
-		fail(pfKindNone)
-	case *Stride:
-		if !fail(pfKindStride) {
-			pf.Load(r)
-		}
-	case *Stream:
-		if !fail(pfKindStream) {
-			pf.Load(r)
-		}
-	case *Bingo:
-		if !fail(pfKindBingo) {
-			pf.Load(r)
-		}
-	case *SPPPPF:
-		if !fail(pfKindSPPPPF) {
-			pf.Load(r)
-		}
-	case *IPCP:
-		if !fail(pfKindIPCP) {
-			pf.Load(r)
-		}
-	case *Berti:
-		if !fail(pfKindBerti) {
-			pf.Load(r)
-		}
-	default:
+	want, ok := prefetcherKind(p)
+	if !ok {
 		r.Fail(fmt.Errorf("prefetch: cannot restore into prefetcher type %T", p))
+		return
+	}
+	if kind != want {
+		r.Fail(fmt.Errorf("prefetch: snapshot holds prefetcher kind %d, receiver is %s: %w",
+			kind, p.Name(), snapshot.ErrCorrupt))
+		return
+	}
+	if pf, ok := p.(interface{ Load(*snapshot.Reader) }); ok { // every kind but None
+		pf.Load(r)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"clip/internal/invariant"
 	"clip/internal/mem"
 	"clip/internal/stats"
 	"clip/internal/tlb"
@@ -57,22 +58,35 @@ func (p *corePort) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// Tick retries matured translations.
+// Tick retries matured translations in queue order and stops at the first
+// L1D refusal. A refusal means the L1D input queue is full, and only loads
+// and stores pass this port (never a droppable prefetch), so the L1D would
+// refuse every later entry in this call too: they stay where they are.
 //
 //clipvet:tilephase
 func (p *corePort) Tick(cycle uint64) {
 	if len(p.pending) == 0 {
 		return
 	}
-	rest := p.pending[:0]
+	l1 := p.s.l1d[p.core]
+	kept := 0
 	for i := range p.pending {
 		d := &p.pending[i]
-		if d.ready <= cycle && p.s.l1d[p.core].Issue(&d.req) {
-			continue
+		if d.ready <= cycle {
+			if invariant.Enabled {
+				invariant.Check(d.req.Type == mem.Load || d.req.Type == mem.Store,
+					"sim: core %d port holds a %v request", p.core, d.req.Type)
+			}
+			if l1.Issue(&d.req) {
+				continue
+			}
+			kept += copy(p.pending[kept:], p.pending[i:])
+			break
 		}
-		rest = append(rest, *d) //clipvet:allocok appends into pending[:0]; never exceeds original capacity
+		p.pending[kept] = *d
+		kept++
 	}
-	p.pending = rest
+	p.pending = p.pending[:kept]
 }
 
 // icache is the lightweight L1I model: a tag array sized to Table 3's 32KB

@@ -461,14 +461,7 @@ func (s *System) Tick() {
 	}
 	s.mesh.Tick(cy)
 	for i, l := range s.llc {
-		// Retry refused deliveries (in arrival order) before new work;
-		// refused requests rotate to the back, preserving relative order.
-		for n := s.llcRetry[i].Len(); n > 0; n-- {
-			req := s.llcRetry[i].PopFront()
-			if !l.Issue(&req) {
-				s.llcRetry[i].Push(req)
-			}
-		}
+		s.drainLLCRetry(i, l)
 		if !skip || l.NextEvent(cy) <= cy {
 			l.Tick(cy)
 		} else {
@@ -482,6 +475,29 @@ func (s *System) Tick() {
 		s.tickThrottlers(cy)
 	}
 	s.cycle++
+}
+
+// drainLLCRetry retries refused deliveries to LLC slice i in arrival order,
+// before the slice's new work, and stops at the first refusal. A refusal
+// means the slice's input queue is full, and nothing drains it until the
+// slice ticks, so every later entry would be refused too: the ring only
+// ever holds requests the slice refused once, never a droppable prefetch
+// (L2 misses travel Owned, writebacks are not prefetches).
+func (s *System) drainLLCRetry(i int, l *cache.Cache) {
+	q := &s.llcRetry[i]
+	for q.Len() > 0 {
+		if !l.Issue(q.Front()) {
+			if invariant.Enabled {
+				for j := 0; j < q.Len(); j++ {
+					r := q.At(j)
+					invariant.Check(r.Type != mem.Prefetch || r.Owned,
+						"sim: droppable prefetch %x queued for LLC slice %d retry", uint64(r.Addr), i)
+				}
+			}
+			return
+		}
+		q.PopFront()
+	}
 }
 
 // Finished reports whether every core retired its budget. The count is

@@ -102,14 +102,6 @@ func (t *tlb) index(page uint64) (set int, tag uint64) {
 	return int(h & uint64(t.sets-1)), page
 }
 
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
-
 // lookup probes for page; hit updates recency.
 func (t *tlb) lookup(page uint64) bool {
 	set, tag := t.index(page)
