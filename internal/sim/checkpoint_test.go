@@ -294,6 +294,12 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"cfg", "attachL2", "skip", "pool",
 			// Per-cycle transient, reset by LoadState.
 			"coresTicked",
+			// Sparse-tick clocks and bitmaps: SaveState syncs every tile and
+			// slice first, and LoadState rebuilds them from the restored
+			// cycle and direct-DRAM queues.
+			"tileDue", "tileAt", "llcDue", "llcAt", "tileRun", "dramWait",
+			// Visit counters: a work measure, not simulation state.
+			"tileVisits", "sliceVisits",
 		})
 }
 

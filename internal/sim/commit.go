@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"clip/internal/invariant"
 	"clip/internal/mem"
 )
@@ -32,22 +34,37 @@ func (s *System) unseal() {
 	}
 }
 
-// commit replays every tile's staged effects in ascending core index: the
-// counter deltas, the NoC injections, and the head of the direct-DRAM queue.
+// commit replays the staged effects of the tiles that ran this cycle, plus
+// those still holding staged direct-DRAM reads, in ascending core index:
+// the counter deltas, the NoC injections, and the head of the direct-DRAM
+// queue. A tile that did not run staged nothing, so passing it over leaves
+// the replay order unchanged.
 func (s *System) commit() {
-	for i := range s.stage {
-		st := &s.stage[i]
-		s.coresTicked += st.ticked
-		st.ticked = 0
-		s.finished += st.finished
-		st.finished = 0
-		st.sends.FlushTo(s.mesh)
-		if invariant.Enabled {
-			invariant.Check(st.sends.Len() == 0,
-				"sim: tile %d staging not empty after flush", i)
-		}
-		if st.dramQ.Len() > 0 {
-			s.drainDirectDRAM(i)
+	for wi, w := range s.tileRun {
+		w |= s.dramWait[wi]
+		for w != 0 {
+			b := uint(bits.TrailingZeros64(w))
+			w &= w - 1
+			i := wi<<6 + int(b)
+			st := &s.stage[i]
+			s.coresTicked += st.ticked
+			st.ticked = 0
+			s.finished += st.finished
+			st.finished = 0
+			st.sends.FlushTo(s.mesh)
+			if invariant.Enabled {
+				invariant.Check(st.sends.Len() == 0,
+					"sim: tile %d staging not empty after flush", i)
+			}
+			if st.dramQ.Len() > 0 {
+				// Only commit pops the queue, so its wait bit changes here.
+				s.drainDirectDRAM(i)
+				if st.dramQ.Len() > 0 {
+					s.dramWait[wi] |= 1 << b
+				} else {
+					s.dramWait[wi] &^= 1 << b
+				}
+			}
 		}
 	}
 }
@@ -96,7 +113,10 @@ func (s *System) deliverHermesHeld(cy uint64) {
 			rest = append(rest, *r) //clipvet:allocok compaction append into [:0]; never exceeds original capacity
 			continue
 		}
-		s.llc[s.sliceOf(r.Req.Addr)].Fill(r)
+		slice := s.sliceOf(r.Req.Addr)
+		s.wakeSlice(slice, cy+1)
+		s.wakeTile(r.Req.Core, cy+1)
+		s.llc[slice].Fill(r)
 		s.l2[r.Req.Core].Fill(r)
 		s.l1d[r.Req.Core].Fill(r)
 	}
@@ -139,7 +159,9 @@ func (s *System) deliverDRAM(cy uint64) {
 			s.hermesHold = append(s.hermesHold, held) //clipvet:allocok retry ring retains capacity across ticks
 			continue
 		}
-		s.llc[s.sliceOf(r.Req.Addr)].Fill(r)
+		slice := s.sliceOf(r.Req.Addr)
+		s.wakeSlice(slice, cy+1)
+		s.llc[slice].Fill(r)
 	}
 	s.dramPending, s.dramNext = rest, next
 }

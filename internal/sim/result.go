@@ -140,6 +140,7 @@ func (t *tlbStats) DTLBHitRate() float64 {
 
 // collect harvests the run into a Result.
 func (s *System) collect() *Result {
+	s.syncAll(s.cycle)
 	r := &Result{
 		Cycles:     s.cycle - s.measureStart,
 		Finished:   s.Finished(),

@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"clip/internal/core"
+	"clip/internal/mem"
 )
 
 // skipMatrix enumerates the mechanism combinations the skip-equivalence
 // contract is enforced over: each entry must produce byte-identical results
 // with event-horizon cycle skipping on and off. The set covers every
 // subsystem whose deadlines fold into the horizon — Hermes holds, throttler
-// epochs, dynamic CLIP sampling, and the NoC critical-priority arbitration.
+// epochs, dynamic CLIP sampling, and the NoC critical-priority arbitration
+// — plus an LLC input queue small enough to overflow into the retry ring,
+// and one 16-core config in which most tiles and slices idle.
 func skipMatrix() map[string]Config {
 	base := func(bench string) Config {
 		cfg := DefaultConfig(4, 1, 8)
@@ -68,6 +71,28 @@ func skipMatrix() map[string]Config {
 	crit := base("605.mcf_s-665B")
 	crit.CritPredictor = "catch"
 	m["critpred"] = crit
+
+	// A two-entry LLC input queue makes mesh deliveries overflow into the
+	// retry ring, which keeps a slice due while it is non-empty.
+	retry := withCLIP(base("619.lbm_s-2676B"))
+	retry.LLC.InQ = 2
+	m["llc-retry"] = retry
+
+	// Sixteen cores behind two channels: most tiles and slices sit idle on
+	// most cycles, so this config exercises the sparse tick — lazy idle
+	// accounting, and the wake points where the mesh and DRAM fill a tile
+	// or slice that was passed over.
+	bench := []string{"605.mcf_s-665B", "619.lbm_s-2676B", "602.gcc_s-734B", "620.omnetpp_s-874B"}
+	many := withCLIP(DefaultConfig(16, 2, 8))
+	for i := range many.Workload {
+		many.Workload[i] = bench[i%len(bench)]
+	}
+	many.InstrPerCore = 2000
+	many.WarmupInstr = 500
+	many.TransferCycles = 40
+	many.Prefetcher = "berti"
+	many.EnableTLB = true
+	m["manycore"] = many
 
 	return m
 }
@@ -155,4 +180,73 @@ func firstDiff(a, b []byte) string {
 		}
 	}
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
+}
+
+// TestSparseTickVisits is the deterministic work gate of the sparse tick:
+// on the stalled 16-core config, Tick must visit only the tiles and LLC
+// slices that have work. The bounds sit above the measured rates (tiles
+// 0.50–0.52 visits per tile per cycle over seeds 1–3, almost all of them
+// cores retrying a refused load issue; slices 0.009) and far below the
+// 1.0 of dense visiting, which the noskip arm must still show exactly.
+func TestSparseTickVisits(t *testing.T) {
+	const maxTileRate, maxSliceRate = 0.65, 0.03
+	rates := func(cfg Config) (tile, slice float64) {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.runLoop(s.MaxCycles())
+		if !s.Finished() {
+			t.Fatal("run did not finish")
+		}
+		tileCycles := float64(s.cycle) * float64(len(s.cores))
+		return float64(s.tileVisits) / tileCycles, float64(s.sliceVisits) / tileCycles
+	}
+	cfg := skipMatrix()["manycore"]
+	tile, slice := rates(cfg)
+	t.Logf("skip: %.4f tile and %.4f slice visits per component-cycle", tile, slice)
+	if tile > maxTileRate || slice > maxSliceRate {
+		t.Errorf("sparse tick visits %.4f per tile and %.4f per slice per cycle, bounds %.2f and %.2f",
+			tile, slice, maxTileRate, maxSliceRate)
+	}
+	cfg.DisableSkip = true
+	if tile, slice := rates(cfg); tile != 1 || slice != 1 {
+		t.Errorf("dense visiting counted %.4f per tile and %.4f per slice per cycle, want 1",
+			tile, slice)
+	}
+}
+
+// TestCommitDrainsWaitingTile pins the one commit visit that does not
+// follow a tile visit: a tile that did not run this cycle but still holds a
+// staged direct-DRAM read (the controller refused it earlier) holds the
+// skip horizon at now, retries the controller at commit, and leaves the
+// wait set once drained.
+func TestCommitDrainsWaitingTile(t *testing.T) {
+	s, err := NewSystem(skipMatrix()["hermes"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const tile = 2
+	req := mem.Request{Addr: mem.Addr(0x40 << 6), Type: mem.Load, Core: tile, ROBIndex: -1}
+	s.stage[tile].dramQ.Push(stagedRead{req: req, bypass: true})
+	s.dramWait[0] = 1 << tile
+	for i := range s.cores {
+		s.tileDue[i], s.llcDue[i] = mem.NoEvent, mem.NoEvent
+	}
+	if h := s.horizon(0); h != 0 {
+		t.Fatalf("horizon %d passes a staged direct-DRAM read", h)
+	}
+	clear(s.tileRun)
+	s.commit()
+	if n := s.stage[tile].dramQ.Len(); n != 0 {
+		t.Fatalf("waiting tile kept %d staged reads", n)
+	}
+	if s.hermesBypass[bypassKey(tile, req.Addr)] != 1 {
+		t.Fatal("staged bypass read did not reach the controller")
+	}
+	if s.dramWait[0] != 0 {
+		t.Fatalf("drained tile still marked waiting: %b", s.dramWait[0])
+	}
 }

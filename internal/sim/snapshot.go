@@ -79,6 +79,7 @@ func (s *System) mechs() mechSet {
 //
 //clipvet:serial runs only between ticks, never during the tile phase
 func (s *System) SaveState() ([]byte, error) {
+	s.syncAll(s.cycle)
 	w := snapshot.NewWriter()
 	w.String(s.cfg.stateFingerprint())
 	m := s.mechs()
@@ -204,7 +205,26 @@ func (s *System) LoadState(data []byte) error {
 		s.nextThrottle = (s.cycle/ep + 1) * ep
 	}
 	s.coresTicked = 0
+	s.restartClocks()
 	return nil
+}
+
+// restartClocks rebuilds the unserialized sparse-tick state after a
+// restore: the image was taken synced, so every tile and slice has applied
+// its accounting up to the restored cycle, and all of them are due at it
+// (their first visit recomputes the real due cycle). dramWait follows the
+// restored direct-DRAM queues.
+func (s *System) restartClocks() {
+	for i := range s.cores {
+		s.tileAt[i], s.tileDue[i] = s.cycle, s.cycle
+		s.llcAt[i], s.llcDue[i] = s.cycle, s.cycle
+	}
+	clear(s.dramWait)
+	for i := range s.stage {
+		if s.stage[i].dramQ.Len() > 0 {
+			s.dramWait[i>>6] |= 1 << uint(i&63)
+		}
+	}
 }
 
 // skipSection skips one section, verifying the stream is aligned on the

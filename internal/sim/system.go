@@ -86,6 +86,24 @@ type System struct {
 	// coresTicked counts cores that took a real Tick this cycle — the cheap
 	// gate deciding whether a global jump is even worth evaluating.
 	coresTicked int
+	// tileDue and llcDue hold the earliest cycle at which each tile and
+	// each LLC slice has work; with skipping on, Tick visits only the ones
+	// due. tileAt and llcAt hold the first cycle whose per-cycle accounting
+	// the tile or slice has not applied yet: an idle stretch is applied in
+	// one bulk call when the component is next visited or touched from
+	// outside (syncTile, syncSlice). None of the four is serialized — a
+	// synced system has every at equal to cycle, and LoadState marks
+	// everything due at the restored cycle.
+	tileDue, tileAt []uint64
+	llcDue, llcAt   []uint64
+	// tileRun is this cycle's visited-tile bitmap, built serially before
+	// the tile phase and read-only to the shard workers. dramWait marks the
+	// tiles whose staged direct-DRAM queue still holds reads. Commit visits
+	// tileRun|dramWait.
+	tileRun, dramWait []uint64
+	// tileVisits and sliceVisits count tile and LLC-slice visits: the
+	// deterministic work measure of sparse ticking (not part of Result).
+	tileVisits, sliceVisits uint64
 	// finished counts cores whose instruction budget is exhausted,
 	// maintained by cpu.Core OnFinished events (no per-cycle scan).
 	finished int
@@ -280,6 +298,9 @@ func NewSystem(cfg Config) (*System, error) {
 
 	s.skip = !cfg.DisableSkip
 	s.coreNext = make([]uint64, n)
+	s.tileDue, s.tileAt = make([]uint64, n), make([]uint64, n)
+	s.llcDue, s.llcAt = make([]uint64, n), make([]uint64, n)
+	s.tileRun, s.dramWait = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
 	for i, c := range s.cores {
 		i := i
 		// A core finishing its budget fires during the (possibly concurrent)
@@ -337,9 +358,15 @@ const (
 func (s *System) onMeshDeliver(kind uint8, dst int, r *mem.Response, cycle uint64) {
 	switch kind {
 	case pktLLCResp:
+		// The tile phase of this cycle is over: the L2 fills as of cycle
+		// and ticks again next cycle.
+		s.wakeTile(dst, cycle+1)
 		r.DoneCycle = cycle
 		s.l2[dst].Fill(r)
 	default: // pktLLCReq
+		// The slices tick after the mesh: the slice issues as of the
+		// previous cycle and is visited this one.
+		s.wakeSlice(dst, cycle)
 		if !s.llc[dst].Issue(&r.Req) {
 			s.llcRetry[dst].Push(r.Req)
 		}
@@ -432,20 +459,21 @@ func (s *System) hermesFor(core int) *hermes.Predictor {
 }
 
 // Tick advances the whole system one cycle in two phases plus a serial
-// tail. Phase 1 (tile phase) ticks every per-core tile — concurrently on
-// the shard pool when ShardWorkers > 1, inline otherwise — with all
-// cross-tile effects staged per tile. Phase 2 (commit) replays the staged
-// effects serially in ascending core index, the exact order the old serial
-// loop produced them. The tail (mesh, LLC slices, DRAM, deliveries,
-// throttlers) is serial and unchanged. With skipping enabled, provably
-// quiescent components get their per-cycle accounting applied in place of a
-// full walk; results are byte-identical across all four mode combinations.
+// tail. Phase 1 (tile phase) ticks the per-core tiles — concurrently on the
+// shard pool when ShardWorkers > 1, inline otherwise — with all cross-tile
+// effects staged per tile. Phase 2 (commit) replays the staged effects
+// serially in ascending core index, the exact order the old serial loop
+// produced them. The tail (mesh, LLC slices, DRAM, deliveries, throttlers)
+// is serial. With skipping enabled only the tiles and slices whose due
+// cycle has come are visited; the others catch up on their idle accounting
+// lazily, in one bulk call, when next visited or touched. Results are
+// byte-identical across all four mode combinations.
 //
 //clipvet:hotpath
 func (s *System) Tick() {
 	cy := s.cycle
-	skip := s.skip
 	s.coresTicked = 0
+	s.markTiles(cy)
 	s.seal()
 	s.runTiles(cy)
 	s.unseal()
@@ -460,14 +488,7 @@ func (s *System) Tick() {
 		s.dynClip.update(cy, util)
 	}
 	s.mesh.Tick(cy)
-	for i, l := range s.llc {
-		s.drainLLCRetry(i, l)
-		if !skip || l.NextEvent(cy) <= cy {
-			l.Tick(cy)
-		} else {
-			l.SkipTick(cy)
-		}
-	}
+	s.tickSlices(cy)
 	s.dram.Tick(cy)
 	s.deliverDRAM(cy)
 	s.deliverHermesHeld(cy)
@@ -475,6 +496,72 @@ func (s *System) Tick() {
 		s.tickThrottlers(cy)
 	}
 	s.cycle++
+}
+
+// tickSlices visits the LLC slices in ascending index: all of them with
+// skipping off, otherwise only those due. A visit catches the slice up to
+// cy, retries its refused deliveries, ticks it and recomputes its due
+// cycle. A due slice may have nothing ready at cy (a delivery woke it);
+// its Tick then only advances the clock and counts a blocked head's
+// refusal, exactly what SkipTick would do. A passed-over slice is not
+// touched at all; under clipdebug it re-derives its quiescence instead.
+func (s *System) tickSlices(cy uint64) {
+	for i, l := range s.llc {
+		if s.skip && s.llcDue[i] > cy {
+			if invariant.Enabled {
+				invariant.Check(s.llcRetry[i].Len() == 0 && l.NextEvent(cy) > cy,
+					"sim: LLC slice %d passed over at cycle %d (due %d) with work pending",
+					i, cy, s.llcDue[i])
+			}
+			continue
+		}
+		s.sliceVisits++
+		s.syncSlice(i, cy)
+		s.drainLLCRetry(i, l)
+		l.Tick(cy)
+		s.llcAt[i] = cy + 1
+		if s.skip {
+			s.llcDue[i] = s.sliceNext(i, cy+1)
+		}
+	}
+}
+
+// sliceNext returns the earliest cycle >= now at which LLC slice i has
+// work: refused deliveries retry every cycle.
+func (s *System) sliceNext(i int, now uint64) uint64 {
+	if s.llcRetry[i].Len() > 0 {
+		return now
+	}
+	return s.llc[i].NextEvent(now)
+}
+
+// syncSlice applies LLC slice i's idle accounting for the cycles
+// [llcAt[i], to). The slice was not due in them, so one SkipTick stands in
+// for the per-cycle ones.
+func (s *System) syncSlice(i int, to uint64) {
+	if s.llcAt[i] < to {
+		s.llc[i].SkipTick(to - 1)
+		s.llcAt[i] = to
+	}
+}
+
+// wakeSlice prepares LLC slice i for a mutation from outside its visit:
+// it catches the slice up to cycle to (Issue and Fill stamp the slice's
+// clock) and makes it due no later than to.
+func (s *System) wakeSlice(i int, to uint64) {
+	s.syncSlice(i, to)
+	if s.llcDue[i] > to {
+		s.llcDue[i] = to
+	}
+}
+
+// syncAll catches every tile and slice up to cycle to: stats are read or
+// reset, or the state serialized, only on a synced system.
+func (s *System) syncAll(to uint64) {
+	for i := range s.cores {
+		s.syncTile(i, to)
+		s.syncSlice(i, to)
+	}
 }
 
 // drainLLCRetry retries refused deliveries to LLC slice i in arrival order,
@@ -505,37 +592,28 @@ func (s *System) drainLLCRetry(i int, l *cache.Cache) {
 // barrier), so this is O(1) instead of a per-cycle core scan.
 func (s *System) Finished() bool { return s.finished == len(s.cores) }
 
-// horizon folds every component's NextEvent with the simulation-level
-// deadlines — pending DRAM responses, held Hermes fills, the throttler
-// epoch, and the dynamic-CLIP sample — into the earliest cycle >= now that
-// must actually be simulated.
+// horizon folds the tiles' and slices' due cycles with the other
+// components' NextEvent and the simulation-level deadlines — staged
+// direct-DRAM reads, pending DRAM responses, held Hermes fills, the
+// throttler epoch, and the dynamic-CLIP sample — into the earliest cycle
+// >= now that must actually be simulated.
 func (s *System) horizon(now uint64) uint64 {
+	for _, w := range s.dramWait {
+		if w != 0 {
+			return now // staged direct-DRAM reads retry the controller every cycle
+		}
+	}
 	h := mem.NoEvent
 	fold := func(e uint64) {
 		if e < h {
 			h = e
 		}
 	}
-	for i, c := range s.cores {
-		if c.Woken() {
-			return now
-		}
-		fold(s.coreNext[i])
-		fold(s.ports[i].NextEvent(now))
-		if s.pfQ[i].Len() > 0 {
-			return now // queued prefetches retry their cache every cycle
-		}
-		if s.stage[i].dramQ.Len() > 0 {
-			return now // staged direct-DRAM reads retry the controller every cycle
-		}
-		fold(s.l1d[i].NextEvent(now))
-		fold(s.l2[i].NextEvent(now))
+	for _, d := range s.tileDue {
+		fold(d)
 	}
-	for i := range s.llc {
-		if s.llcRetry[i].Len() > 0 {
-			return now // refused LLC deliveries retry every cycle
-		}
-		fold(s.llc[i].NextEvent(now))
+	for _, d := range s.llcDue {
+		fold(d)
 	}
 	fold(s.mesh.NextEvent(now))
 	fold(s.dram.NextEvent(now))
@@ -558,10 +636,11 @@ func (s *System) horizon(now uint64) uint64 {
 }
 
 // skipAhead jumps the global clock to the earliest future cycle at which
-// any component has work, bulk-applying the per-cycle accounting the
-// skipped cycles would have performed. A no-op when something has work next
-// cycle. Under clipdebug every component re-derives its own quiescence at
-// skip time, so a horizon that undershoots real work panics instead of
+// any component has work. A no-op when something has work next cycle. The
+// tiles and slices need no call: their lazy accounting covers the jumped
+// cycles at their next visit. The mesh, DRAM and dynamic CLIP get their
+// bulk accounting here; under clipdebug each re-derives its own
+// quiescence, so a horizon that undershoots real work panics instead of
 // silently desyncing.
 func (s *System) skipAhead(maxCycles uint64) {
 	now := s.cycle // the next cycle to simulate
@@ -573,16 +652,6 @@ func (s *System) skipAhead(maxCycles uint64) {
 		return
 	}
 	n := h - now
-	for _, c := range s.cores {
-		c.SkipCycles(now, n)
-	}
-	for i := range s.l1d {
-		s.l1d[i].SkipTick(h - 1)
-		s.l2[i].SkipTick(h - 1)
-	}
-	for _, l := range s.llc {
-		l.SkipTick(h - 1)
-	}
 	s.mesh.SkipCycles(now, n)
 	s.dram.AdvanceTo(now, n)
 	if s.dynClip != nil {
@@ -637,6 +706,7 @@ func (s *System) MaxCycles() uint64 {
 // each core's trigger).
 func (s *System) warmupBarrier() {
 	s.warmed = true
+	s.syncAll(s.cycle)
 	s.resetStats()
 	s.measureStart = s.cycle
 	s.finished = 0

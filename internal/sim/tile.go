@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 
+	"clip/internal/invariant"
 	"clip/internal/mem"
 	"clip/internal/noc"
 )
@@ -46,13 +48,38 @@ type tileStage struct {
 	_ [32]byte
 }
 
-// tickTile advances one tile by one cycle. Safe to run concurrently across
+// markTiles fills tileRun with the tiles visited this cycle: all of them
+// with skipping off, otherwise those whose due cycle has come. Under
+// clipdebug a passed-over tile re-derives its quiescence from its
+// components.
+func (s *System) markTiles(cy uint64) {
+	clear(s.tileRun)
+	for i, d := range s.tileDue {
+		if !s.skip || d <= cy {
+			s.tileRun[i>>6] |= 1 << uint(i&63)
+		} else if invariant.Enabled {
+			c := s.cores[i]
+			invariant.Check(!c.Woken() && c.NextEvent(cy) > cy &&
+				s.ports[i].NextEvent(cy) > cy && s.pfQ[i].Len() == 0 &&
+				s.l1d[i].NextEvent(cy) > cy && s.l2[i].NextEvent(cy) > cy,
+				"sim: tile %d passed over at cycle %d (due %d) with work pending",
+				i, cy, d)
+		}
+	}
+	for _, w := range s.tileRun {
+		s.tileVisits += uint64(bits.OnesCount64(w))
+	}
+}
+
+// tickTile advances one tile by one cycle, after catching it up on the
+// idle cycles since its last visit. Safe to run concurrently across
 // distinct tiles: all writes land in tile-indexed state or s.stage[i], and
 // the only shared structures touched are read-only this phase (cache Probe,
 // DRAM utilization, the global cycle).
 //
 //clipvet:tilephase
 func (s *System) tickTile(i int, cy uint64) {
+	s.syncTile(i, cy)
 	c := s.cores[i]
 	if s.skip && s.coreNext[i] > cy && !c.Woken() {
 		c.SkipCycles(cy, 1)
@@ -74,6 +101,57 @@ func (s *System) tickTile(i int, cy uint64) {
 		l2.Tick(cy)
 	} else {
 		l2.SkipTick(cy)
+	}
+	s.tileAt[i] = cy + 1
+	if s.skip {
+		s.tileDue[i] = s.tileNext(i, cy+1)
+	}
+}
+
+// tileNext returns the earliest cycle >= now at which tile i has work: a
+// woken core or a queued prefetch makes it now, otherwise the minimum of
+// the core's cached horizon and the port's and caches' NextEvent. The
+// core is asked first: a core retrying a refused load issue keeps its tile
+// due every cycle, and then the port and caches need not be asked.
+func (s *System) tileNext(i int, now uint64) uint64 {
+	due := s.coreNext[i]
+	if due <= now || s.cores[i].Woken() || s.pfQ[i].Len() > 0 {
+		return now
+	}
+	if e := s.ports[i].NextEvent(now); e < due {
+		due = e
+	}
+	if e := s.l1d[i].NextEvent(now); e < due {
+		due = e
+	}
+	if e := s.l2[i].NextEvent(now); e < due {
+		due = e
+	}
+	return due
+}
+
+// syncTile applies tile i's idle accounting for the cycles [tileAt[i], to).
+// The tile was not due in them, so one bulk call per component stands in
+// for the per-cycle skips a visit would have made (the port and the empty
+// prefetch queue keep no per-cycle accounting).
+func (s *System) syncTile(i int, to uint64) {
+	at := s.tileAt[i]
+	if at >= to {
+		return
+	}
+	s.cores[i].SkipCycles(at, to-at)
+	s.l1d[i].SkipTick(to - 1)
+	s.l2[i].SkipTick(to - 1)
+	s.tileAt[i] = to
+}
+
+// wakeTile prepares tile i for a mutation from outside the tile phase: it
+// catches the tile up to cycle to (a Fill stamps the cache's clock) and
+// makes it due no later than to.
+func (s *System) wakeTile(i int, to uint64) {
+	s.syncTile(i, to)
+	if s.tileDue[i] > to {
+		s.tileDue[i] = to
 	}
 }
 
@@ -100,17 +178,22 @@ func (s *System) drainPFQ(i int) {
 	}
 }
 
-// runTiles executes the tile phase: on the shard pool when one is
-// configured, inline in ascending core order otherwise. Both paths run the
-// identical per-tile code against the identical staging buffers, so serial
-// and parallel execution are byte-identical by construction.
+// runTiles executes the tile phase over the tiles in tileRun: on the shard
+// pool when one is configured, inline in ascending core order otherwise.
+// Both paths run the identical per-tile code against the identical staging
+// buffers, so serial and parallel execution are byte-identical by
+// construction.
 func (s *System) runTiles(cy uint64) {
 	if s.pool != nil {
 		s.pool.run(cy)
 		return
 	}
-	for i := range s.cores {
-		s.tickTile(i, cy)
+	for wi, w := range s.tileRun {
+		for w != 0 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			s.tickTile(i, cy)
+		}
 	}
 }
 
@@ -150,7 +233,9 @@ func (p *shardPool) work(s *System, w, lo, hi int, start <-chan uint64) {
 				p.wg.Done()
 			}()
 			for i := lo; i < hi; i++ {
-				s.tickTile(i, cy)
+				if s.tileRun[i>>6]&(1<<uint(i&63)) != 0 {
+					s.tickTile(i, cy)
+				}
 			}
 		}()
 	}

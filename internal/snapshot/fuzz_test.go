@@ -27,7 +27,7 @@ func drive(r *Reader, ops []byte) {
 		case 6:
 			r.F64()
 		case 7:
-			r.String()
+			_ = r.String()
 		case 8:
 			r.Bytes8()
 		case 9:
@@ -139,7 +139,7 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			tr.U64()
 			tr.I64()
-			tr.String()
+			_ = tr.String()
 			tr.Bytes8()
 			tr.Bool()
 			tr.F64()
